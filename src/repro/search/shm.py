@@ -15,10 +15,12 @@ named ``multiprocessing.shared_memory`` segments:
 Workers attach **zero-copy**: :func:`run_ordered_shard` maps the named
 segments into numpy views, rebuilds a minimal
 :class:`~repro.search.engine.QueryEngine` over them, and runs the
-unchanged serial ordered batch path over its contiguous query shard —
-so the process path is bit-identical to serial execution by
+engine's one stage-pipeline runner with the ordered retrieval source
+over its contiguous query shard — the same control flow as serial
+execution, so the process path is bit-identical to it by
 construction.  Results travel back as compact arrays (ids, distances,
-stats columns) rather than pickled ``SearchResult`` objects.
+stats columns including one seconds column per plan stage) rather
+than pickled ``SearchResult`` objects.
 
 Attachments are cached per worker process, keyed by publication family,
 and re-attached when the generation in the incoming spec differs from
@@ -350,21 +352,30 @@ def run_ordered_shard(
 ) -> tuple[np.ndarray, ...]:
     """Run one contiguous query shard against the published index.
 
-    Executes the engine's unchanged serial ordered batch path over the
+    Runs the engine's stage pipeline with the ordered source over the
     shared-memory views and packs the results into compact arrays (see
     :func:`unpack_shard_results`); the final float column is the
     shard's wall time, for the parent's per-shard telemetry.
     """
     attached = _attached_index(spec)
     with obs.span("parallel_shard") as shard_span:
-        results = attached.engine._execute_batch_ordered_serial(
-            queries, plan, attached.table, scores, bucket_signatures
+        results, _ = attached.engine._run_pipeline(
+            queries,
+            plan,
+            ordered=(attached.table, scores, bucket_signatures),
         )
-    return _pack_results(results, shard_span.duration)
+    return _pack_results(results, plan.stage_names(), shard_span.duration)
+
+
+#: Leading per-row stat columns of a shard pack; one column per plan
+#: stage (its ``stage_seconds``) follows them.
+_STAT_COLUMNS = 6
 
 
 def _pack_results(
-    results: list[SearchResult], shard_seconds: float
+    results: list[SearchResult],
+    stage_names: tuple[str, ...],
+    shard_seconds: float,
 ) -> tuple[np.ndarray, ...]:
     n = len(results)
     lengths = np.fromiter(
@@ -378,25 +389,35 @@ def _pack_results(
         if n
         else np.empty(0, dtype=np.float64)
     )
-    stats = np.zeros((n, 6), dtype=np.float64)
+    stats = np.zeros((n, _STAT_COLUMNS + len(stage_names)), dtype=np.float64)
     for row, result in enumerate(results):
         ctx = result.stats
         if ctx is None:
             continue
-        stats[row, 0] = float(ctx.n_buckets_probed)
-        stats[row, 1] = float(ctx.n_candidates)
-        stats[row, 2] = float(ctx.early_stop_triggered)
-        stats[row, 3] = ctx.retrieval_seconds
-        stats[row, 4] = ctx.evaluation_seconds
-        stats[row, 5] = ctx.total_seconds
+        stats[row, :_STAT_COLUMNS] = (
+            ctx.n_buckets_probed,
+            ctx.n_candidates,
+            ctx.early_stop_triggered,
+            ctx.retrieval_seconds,
+            ctx.evaluation_seconds,
+            ctx.total_seconds,
+        )
+        stats[row, _STAT_COLUMNS:] = [
+            ctx.stage_seconds[name] for name in stage_names
+        ]
     shard = np.array([shard_seconds], dtype=np.float64)
     return (lengths, ids_flat, dists_flat, stats, shard)
 
 
 def unpack_shard_results(
     pack: tuple[np.ndarray, ...],
+    stage_names: tuple[str, ...],
 ) -> tuple[list[SearchResult], float]:
-    """Rebuild ``(results, shard_seconds)`` from one shard's pack."""
+    """Rebuild ``(results, shard_seconds)`` from one shard's pack.
+
+    ``stage_names`` — the plan's ``stage_names()`` — names the
+    per-stage seconds columns.
+    """
     from repro.search.engine import ExecutionContext
     from repro.search.results import SearchResult
 
@@ -412,6 +433,12 @@ def unpack_shard_results(
             retrieval_seconds=float(stats[row, 3]),
             evaluation_seconds=float(stats[row, 4]),
             total_seconds=float(stats[row, 5]),
+            stage_seconds={
+                name: float(seconds)
+                for name, seconds in zip(
+                    stage_names, stats[row, _STAT_COLUMNS:]
+                )
+            },
         )
         results.append(
             SearchResult(

@@ -16,47 +16,41 @@ from repro.data import gaussian_mixture
 from repro.hashing import ITQ
 from repro.search import HashIndex
 from repro.search.engine import (
-    CandidatePipeline,
-    ExecutionContext,
+    ExactEvaluator,
+    QueryEngine,
     QueryPlan,
 )
+
+#: Twelve 2-D items, enough for every id the hand-built streams yield.
+ITEMS = np.arange(24, dtype=np.float64).reshape(12, 2)
+
+
+def drain(buckets, n_candidates):
+    """Run the engine over a hand-built stream; ``k`` keeps every id."""
+    stream = iter(np.asarray(bucket, dtype=np.int64) for bucket in buckets)
+    engine = QueryEngine(ExactEvaluator(ITEMS))
+    plan = QueryPlan(k=len(ITEMS), n_candidates=n_candidates)
+    return engine.execute(np.zeros(2), plan, stream)
 
 
 class TestDrainDeduplication:
     def test_duplicates_across_buckets_counted_once(self):
-        stream = iter(
-            np.asarray(bucket, dtype=np.int64)
-            for bucket in ([1, 3, 7], [3, 5], [2, 9], [7, 11])
-        )
-        ctx = ExecutionContext()
-        ids = CandidatePipeline.drain(
-            stream, QueryPlan(k=1, n_candidates=8), ctx
-        )
-        assert sorted(ids.tolist()) == [1, 2, 3, 5, 7, 9, 11]
-        assert ctx.n_candidates == 7  # pre-fix: 9 (duplicates double-counted)
+        result = drain(([1, 3, 7], [3, 5], [2, 9], [7, 11]), 8)
+        assert sorted(result.ids.tolist()) == [1, 2, 3, 5, 7, 9, 11]
+        # pre-fix: 9 (duplicates double-counted)
+        assert result.stats.n_candidates == 7
 
     def test_budget_buys_distinct_candidates(self):
         # Every bucket repeats id 0; the budget of 4 distinct candidates
         # must keep draining past the duplicates until it is met.
-        stream = iter(
-            np.asarray(bucket, dtype=np.int64)
-            for bucket in ([0, 1], [0, 2], [0, 3], [0, 4])
-        )
-        ctx = ExecutionContext()
-        ids = CandidatePipeline.drain(
-            stream, QueryPlan(k=1, n_candidates=4), ctx
-        )
-        assert sorted(ids.tolist()) == [0, 1, 2, 3]
-        assert ctx.n_candidates == 4
+        result = drain(([0, 1], [0, 2], [0, 3], [0, 4]), 4)
+        assert sorted(result.ids.tolist()) == [0, 1, 2, 3]
+        assert result.stats.n_candidates == 4
 
     def test_within_bucket_duplicates_collapse(self):
-        stream = iter([np.array([5, 5, 5, 8], dtype=np.int64)])
-        ctx = ExecutionContext()
-        ids = CandidatePipeline.drain(
-            stream, QueryPlan(k=1, n_candidates=10), ctx
-        )
-        assert sorted(ids.tolist()) == [5, 8]
-        assert ctx.n_candidates == 2
+        result = drain(([5, 5, 5, 8],), 10)
+        assert sorted(result.ids.tolist()) == [5, 8]
+        assert result.stats.n_candidates == 2
 
 
 class TestTwoTableFixture:
