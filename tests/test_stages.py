@@ -27,6 +27,7 @@ from repro.search import (
     RerankSpec,
     linear_fusion,
 )
+from repro.search.engine import CandidatePipeline
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,30 @@ class TestSpecs:
         assert QueryPlan(
             k=5, n_candidates=10, fusion=FusionSpec()
         ).evaluate_keep() == 5
+
+
+class TestTopKTies:
+    """Ties at the cut break by id, whatever argpartition keeps."""
+
+    def test_tied_cut_keeps_the_smallest_ids(self):
+        scores = np.ones(40)
+        scores[39] = 0.0
+        ids, kept = CandidatePipeline.top_k(np.arange(40), scores, 3)
+        assert ids.tolist() == [39, 0, 1]
+        assert kept.tolist() == [0.0, 1.0, 1.0]
+
+    def test_all_tied_descending_ids(self):
+        ids, _ = CandidatePipeline.top_k(np.arange(200)[::-1], np.ones(200), 3)
+        assert ids.tolist() == [0, 1, 2]
+
+    def test_integer_scores_tie_by_id(self):
+        rng = np.random.default_rng(7)
+        candidates = rng.permutation(500)
+        scores = rng.integers(0, 4, size=500)
+        ids, kept = CandidatePipeline.top_k(candidates, scores, 25)
+        order = np.lexsort((candidates, scores))[:25]
+        assert ids.tolist() == candidates[order].tolist()
+        assert kept.tolist() == scores[order].tolist()
 
 
 class TestRerank:
